@@ -763,14 +763,20 @@ let () =
     match serve_port () with
     | None -> None
     | Some port ->
-      let tel = profile.Experiments.ctx in
-      Monitor.preregister tel.Ctx.registry;
-      let m = Monitor.create tel.Ctx.registry in
-      (match Monitor.serve m ~port with
-      | Ok bound ->
-        Printf.eprintf "bench: serving http://127.0.0.1:%d/metrics\n%!" bound
-      | Error msg -> Printf.eprintf "bench: --serve %d: %s\n%!" port msg);
-      Some m
+      let reg = profile.Experiments.ctx.Ctx.registry in
+      Monitor.preregister reg;
+      let m = Monitor.create reg in
+      let http =
+        match Http.listen ~port [ Http.registry_routes reg ] with
+        | Ok h ->
+          Printf.eprintf "bench: serving http://127.0.0.1:%d/metrics\n%!"
+            (Http.port h);
+          Some h
+        | Error msg ->
+          Printf.eprintf "bench: --serve %d: %s\n%!" port msg;
+          None
+      in
+      Some (m, http)
   in
   Printf.printf "=== Experiment reproductions (profile: %s, jobs: %d) ===\n\n%!"
     profile.Experiments.label profile.Experiments.jobs;
@@ -781,4 +787,8 @@ let () =
       Printf.printf "--- %s: %s (%.1fs) ---\n%s\n%!" id descr
         (Timer.now () -. t0) output)
     Experiments.all;
-  Option.iter Monitor.stop monitor
+  Option.iter
+    (fun (m, http) ->
+      Monitor.stop m;
+      Option.iter Http.stop http)
+    monitor

@@ -8,18 +8,18 @@ type http_state = {
   mutable connects : int;  (* fresh TCP connects made so far *)
 }
 
-type t = In_process of Server.t | Http of http_state
+type t = In_process of Server.t | Remote of http_state
 
 let in_process s = In_process s
 
 let http ?(host = "127.0.0.1") ~port () =
-  Http
+  Remote
     { host; port; pool_lock = Mutex.create (); idle = Queue.create ();
       connects = 0 }
 
 let connections = function
   | In_process _ -> 0
-  | Http state ->
+  | Remote state ->
     Mutex.lock state.pool_lock;
     let n = state.connects in
     Mutex.unlock state.pool_lock;
@@ -34,109 +34,7 @@ type outcome = {
   o_queue_wait : float;
 }
 
-(* --- raw HTTP/1.1 with keep-alive connection reuse --- *)
-
-let find_substring s needle =
-  let n = String.length needle and m = String.length s in
-  let rec go i =
-    if i + n > m then None
-    else if String.sub s i n = needle then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write_substring fd s off (n - off) with
-      | written -> go (off + written)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
-
-let header_value headers name =
-  String.split_on_char '\n' headers
-  |> List.find_map (fun line ->
-         match String.index_opt line ':' with
-         | None -> None
-         | Some i ->
-           if String.lowercase_ascii (String.trim (String.sub line 0 i)) = name
-           then
-             Some
-               (String.trim
-                  (String.sub line (i + 1) (String.length line - i - 1)))
-           else None)
-
-(* Reads one HTTP response. When the headers carry a Content-Length the
-   body is delimited by it — the path that lets a kept-alive connection
-   hand back exactly one response without waiting for EOF. Without one,
-   fall back to read-to-EOF (close-delimited). Returns the raw response
-   and whether the server agreed to keep the connection alive. *)
-let read_response fd =
-  let buf = Buffer.create 1024 in
-  let chunk = Bytes.create 4096 in
-  (* true when [stop] matched, false on EOF first *)
-  let rec read_until stop =
-    if stop (Buffer.contents buf) then true
-    else
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> stop (Buffer.contents buf)
-      | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        read_until stop
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_until stop
-  in
-  if not (read_until (fun s -> find_substring s "\r\n\r\n" <> None)) then
-    Error "eof before response headers"
-  else begin
-    let i =
-      match find_substring (Buffer.contents buf) "\r\n\r\n" with
-      | Some i -> i
-      | None -> assert false
-    in
-    let headers = String.sub (Buffer.contents buf) 0 i in
-    let keep_alive =
-      match header_value headers "connection" with
-      | Some v -> String.lowercase_ascii v = "keep-alive"
-      | None -> false
-    in
-    match
-      Option.bind (header_value headers "content-length") int_of_string_opt
-    with
-    | Some want ->
-      if read_until (fun s -> String.length s - (i + 4) >= want) then
-        Ok (Buffer.contents buf, keep_alive)
-      else Error "eof before response body"
-    | None ->
-      (* no length to trust the connection with — drain and close *)
-      ignore (read_until (fun _ -> false));
-      Ok (Buffer.contents buf, false)
-  end
-
-(* The Content-Length check catches short (or over-long) reads. *)
-let parse_response raw =
-  match find_substring raw "\r\n\r\n" with
-  | None -> Error "malformed response: no header terminator"
-  | Some i -> (
-    let headers = String.sub raw 0 i in
-    let body = String.sub raw (i + 4) (String.length raw - i - 4) in
-    match
-      Option.bind (header_value headers "content-length") int_of_string_opt
-    with
-    | Some want when want <> String.length body ->
-      Error
-        (Printf.sprintf "short read: Content-Length %d, body %d bytes" want
-           (String.length body))
-    | _ -> (
-      match
-        String.split_on_char ' ' (List.hd (String.split_on_char '\r' headers))
-      with
-      | _http :: code :: _ -> (
-        match int_of_string_opt code with
-        | Some c -> Ok (c, body)
-        | None -> Error ("malformed status line: " ^ code))
-      | _ -> Error "malformed status line"))
+(* --- HTTP/1.1 with keep-alive connection reuse --- *)
 
 let take_idle state =
   Mutex.lock state.pool_lock;
@@ -181,33 +79,18 @@ let connect_fresh state =
    fails (the server may have closed it between requests) is retried once
    on a fresh one before the failure is reported. *)
 let http_request state ~meth ~path ~body =
-  let exchange fd =
-    match
-      write_all fd
-        (Printf.sprintf
-           "%s %s HTTP/1.1\r\n\
-            Host: %s:%d\r\n\
-            Content-Type: application/json\r\n\
-            Content-Length: %d\r\n\
-            Connection: keep-alive\r\n\
-            \r\n\
-            %s"
-           meth path state.host state.port (String.length body) body);
-      read_response fd
-    with
-    | r -> r
-    | exception Unix.Unix_error (err, _, _) -> Error (Unix.error_message err)
-  in
   let rec go ~may_retry fd =
-    match exchange fd with
-    | Ok (raw, keep_alive) -> (
-      match parse_response raw with
-      | Ok _ as r ->
-        if keep_alive then return_idle state fd
-        else (try Unix.close fd with Unix.Unix_error _ -> ());
-        r
-      | Error _ as e -> retry ~may_retry fd e)
+    match
+      Http.write_request fd ~host:state.host ~port:state.port ~meth ~path body;
+      Http.read_response fd
+    with
+    | Ok (code, body, keep_alive) ->
+      if keep_alive then return_idle state fd
+      else (try Unix.close fd with Unix.Unix_error _ -> ());
+      Ok (code, body)
     | Error _ as e -> retry ~may_retry fd e
+    | exception Unix.Unix_error (err, _, _) ->
+      retry ~may_retry fd (Error (Unix.error_message err))
   and retry ~may_retry fd e =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     if may_retry then
@@ -253,7 +136,7 @@ let query t qname =
         o_cost = r.Server.rs_cost;
         o_latency = r.Server.rs_latency;
         o_queue_wait = r.Server.rs_queue_wait }
-  | Http state -> (
+  | Remote state -> (
     let body = Json.to_string (Json.Obj [ ("query", Json.Str qname) ]) in
     match http_request state ~meth:"POST" ~path:"/query" ~body with
     | Error _ as e -> e
@@ -262,7 +145,7 @@ let query t qname =
 let queries t =
   match t with
   | In_process s -> Ok (Server.queries s)
-  | Http state -> (
+  | Remote state -> (
     match http_request state ~meth:"GET" ~path:"/queries" ~body:"" with
     | Error _ as e -> e
     | Ok (200, body) -> (
@@ -276,7 +159,7 @@ let queries t =
 let slo_report t =
   match t with
   | In_process s -> Ok (Slo.report (Server.slo s))
-  | Http state -> (
+  | Remote state -> (
     match http_request state ~meth:"GET" ~path:"/slo" ~body:"" with
     | Error _ as e -> e
     | Ok (200, body) -> Ok body

@@ -18,9 +18,10 @@
     + classification — handler outcome to {!Slo.outcome} (degraded
       executions are successes), recorded with latency and queue wait.
 
-    The HTTP front end ({!listen}) is the stdlib-Unix accept-loop pattern
-    of [Monitor.serve], extended with POST bodies and one thread per
-    connection so slow queries do not head-of-line-block /metrics scrapes:
+    The HTTP front end ({!listen}) registers these routes on the shared
+    {!Monsoon_telemetry.Http} stack (one thread per connection, bounded
+    reads, opt-in keep-alive); other paths fall through to its registry
+    routes:
 
     - [POST /query] — body [{"query": NAME}]; answers the response JSON
       with the outcome's HTTP code (200 / 404 / 429+Retry-After / 500 /
@@ -29,18 +30,17 @@
       request ID (the last [explain_ring] requests are retained);
     - [GET /queries] — the query names this server answers, as JSON;
     - [GET /slo] — the live {!Slo.report};
-    - [GET /metrics], [/healthz], [/snapshot.json] — as [Monitor.serve].
+    - [GET /metrics], [/healthz], [/snapshot.json] —
+      {!Monsoon_telemetry.Http.registry_routes}.
 
     [POST /query] responses carry the request's trace id as
     [X-Monsoon-Trace]; a 429's [Retry-After] is derived from the observed
-    queue depth and mean service latency. Connections close after one
-    request unless the client asks for [Connection: keep-alive], in which
-    case the socket is reused until the client closes or idles past the
-    read timeout.
+    queue depth and mean service latency.
 
     {!stop} is drain-then-stop: close the listener, let every in-flight
-    request finish (queued requests resolve 503 — shed, not crashed), then
-    shut the pool down. Idempotent. *)
+    request finish (queued requests resolve 503 — shed, not crashed),
+    close connections idle between requests at once, then shut the pool
+    down. Idempotent. *)
 
 open Monsoon_util
 open Monsoon_telemetry
@@ -148,11 +148,12 @@ val inject_kills : t -> int -> unit
 val listen : t -> port:int -> (int, string) result
 (** Bind [127.0.0.1:port] ([0] picks an ephemeral port) and start the
     accept loop. Returns the bound port — the programmatic alternative to
-    scraping stderr. *)
+    scraping stderr — or an error when the bind fails, the server already
+    listens, or it was stopped. *)
 
 val port : t -> int
 (** The bound port. @raise Invalid_argument when not listening. *)
 
 val stop : t -> unit
 (** Drain-then-stop; blocks until in-flight requests finished and the pool
-    joined. Idempotent. *)
+    joined, but not on idle keep-alive connections. Idempotent. *)

@@ -1,24 +1,21 @@
-(** Live monitoring: periodic sampling, differential reports, and a
-    [/metrics] HTTP endpoint.
+(** Live monitoring: periodic sampling and differential reports.
 
     A monitor owns one sampler thread that every [interval] seconds
     snapshots the registry (every counter, gauge, and histogram
-    count/sum) together with [Gc.quick_stat] into a bounded ring, and —
-    optionally — one server thread exposing the registry over HTTP on
-    loopback. Threads, not domains: an extra domain — even one asleep in
-    [select] — drags every minor GC of the workload into a cross-domain
+    count/sum) together with [Gc.quick_stat] into a bounded ring. A
+    thread, not a domain: an extra domain — even one asleep in [select] —
+    drags every minor GC of the workload into a cross-domain
     stop-the-world barrier (tens of percent of wall clock on
     allocation-heavy runs under OCaml 5.1), while a sleeping thread
-    releases the runtime lock and costs nothing. Endpoints:
-
-    - [/metrics] — Prometheus text exposition ({!Exporter.render});
-    - [/healthz] — ["ok"], 200;
-    - [/snapshot.json] — {!Snapshot.metrics_json}.
+    releases the runtime lock and costs nothing. Serving the registry
+    over HTTP is not the monitor's job: [Http.listen] with
+    {!Http.registry_routes} exposes [/metrics], [/healthz] and
+    [/snapshot.json].
 
     Two samples diff into an lt_profile-style report ({!diff_report}):
     per-metric deltas and rates per second over the window, top movers
     first, plus a GC section. The CLI surfaces this as
-    [monsoon profile --watch] and [--serve PORT].
+    [monsoon profile --watch].
 
     GC numbers come from [Gc.quick_stat] on the domain hosting the
     sampling thread (the creator's domain): major heap words/collections
@@ -83,23 +80,12 @@ val create :
     Jsonl span sinks. Raises [Invalid_argument] on a non-positive
     interval or a ring smaller than 2. *)
 
-val serve : t -> port:int -> (int, string) result
-(** Binds [127.0.0.1:port] ([port = 0] picks an ephemeral port) and
-    starts the accept-loop thread. Returns the bound port, or an error
-    message if the bind fails or the monitor is already serving or
-    stopped. Requests are served sequentially; each response closes its
-    connection. *)
-
 val stop : t -> unit
 (** Joins the sampler, takes one final synchronous sample (so the
     ring's last sample covers the full run even for runs shorter than
-    one interval), joins the server thread, closes the sockets.
-    Idempotent. *)
+    one interval), closes the wake pipe. Idempotent. *)
 
 val interval : t -> float
-
-val port : t -> int option
-(** The bound port once {!serve} succeeded. *)
 
 val samples : t -> sample list
 (** Ring contents, oldest first. *)

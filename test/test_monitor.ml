@@ -316,17 +316,18 @@ let body_of response =
   in
   find 0
 
+(* The shared front end serving only the registry routes — what
+   [--serve PORT] runs next to the monitor's sampler. *)
 let test_http_endpoints () =
   let reg = Registry.create () in
   Monitor.preregister reg;
   Metric.Counter.add (Registry.counter reg "driver.steps") 9.0;
   let m = Monitor.create ~interval:0.05 reg in
-  match Monitor.serve m ~port:0 with
+  match Http.listen ~port:0 [ Http.registry_routes reg ] with
   | Error e -> Alcotest.fail e
-  | Ok port ->
+  | Ok http ->
+    let port = Http.port http in
     Alcotest.(check bool) "ephemeral port" true (port > 0);
-    Alcotest.(check (option int)) "port accessor" (Some port)
-      (Monitor.port m);
     let health = http_get port "/healthz" in
     check_contains "healthz" health "HTTP/1.1 200";
     check_contains "healthz" health "ok";
@@ -344,14 +345,16 @@ let test_http_endpoints () =
     | Error e -> Alcotest.failf "snapshot.json does not parse: %s" e);
     let missing = http_get port "/nope" in
     check_contains "unknown path" missing "HTTP/1.1 404";
-    (* A second monitor cannot double-serve. *)
-    (match Monitor.serve m ~port:0 with
+    (* The port accessor names the bound socket: a second listener on it
+       cannot double-serve. *)
+    (match Http.listen ~port [ Http.registry_routes reg ] with
     | Ok _ -> Alcotest.fail "second serve should fail"
     | Error _ -> ());
+    Http.stop http;
     Monitor.stop m;
-    (match Monitor.serve m ~port:0 with
-    | Ok _ -> Alcotest.fail "serve after stop should fail"
-    | Error _ -> ());
+    Alcotest.(check int) "connection refused after stop" (-1)
+      (try String.length (http_get port "/healthz")
+       with Unix.Unix_error _ -> -1);
     (* At least the initial and the final tick landed. *)
     Alcotest.(check bool) "samples recorded" true
       (List.length (Monitor.samples m) >= 2)

@@ -501,6 +501,64 @@ let test_http_overload_and_endpoints () =
     Alcotest.(check int) "connection refused after stop" (-1)
       (try status_of (http_get port "/healthz") with Unix.Unix_error _ -> -1)
 
+(* One registry behind the shared stack alone and behind a Server: the
+   routes they share answer byte-identically. GET requests touch no
+   metric, so the two scrapes see the same registry state. *)
+let test_http_shared_routes_agree () =
+  let ctx = Ctx.null () in
+  let t = make_server ~ctx () in
+  match
+    (Http.listen ~port:0 [ Http.registry_routes ctx.Ctx.registry ],
+     Server.listen t ~port:0)
+  with
+  | Error e, _ | _, Error e -> Alcotest.fail e
+  | Ok http, Ok server_port ->
+    let split response =
+      let body = assert_complete "shared route" response in
+      let content_type =
+        String.split_on_char '\r' response
+        |> List.find_opt (fun line -> contains line "Content-Type: ")
+      in
+      (status_of response, content_type, body)
+    in
+    List.iter
+      (fun path ->
+        let code, ct, body = split (http_get (Http.port http) path) in
+        let code', ct', body' = split (http_get server_port path) in
+        Alcotest.(check int) (path ^ " status") code code';
+        Alcotest.(check int) (path ^ " served") 200 code;
+        Alcotest.(check (option string)) (path ^ " content type") ct ct';
+        Alcotest.(check string) (path ^ " body") body body')
+      [ "/metrics"; "/healthz"; "/snapshot.json" ];
+    (* The Server owns the lifecycle guards. *)
+    (match Server.listen t ~port:0 with
+    | Ok _ -> Alcotest.fail "second serve should fail"
+    | Error _ -> ());
+    Http.stop http;
+    Server.stop t;
+    match Server.listen t ~port:0 with
+    | Ok _ -> Alcotest.fail "serve after stop should fail"
+    | Error _ -> ()
+
+let test_http_bad_content_length () =
+  let t = make_server () in
+  match Server.listen t ~port:0 with
+  | Error e -> Alcotest.fail e
+  | Ok port ->
+    let body = {|{"query": "fast"}|} in
+    let post length =
+      status_of
+        (http_request port
+           (Printf.sprintf
+              "POST /query HTTP/1.1\r\nContent-Length: %s\r\n\r\n%s" length
+              body))
+    in
+    Alcotest.(check int) "negative length" 400 (post "-5");
+    Alcotest.(check int) "non-numeric length" 400 (post "abc");
+    Alcotest.(check int) "correct length" 200
+      (post (string_of_int (String.length body)));
+    Server.stop t
+
 (* --- load client + load generator --- *)
 
 let test_load_client_in_process () =
@@ -559,6 +617,22 @@ let test_load_client_keep_alive () =
     (match Load_client.query client "fast" with
     | Error _ -> ()
     | Ok _ -> Alcotest.fail "query after stop should be a transport error")
+
+(* An idle keep-alive connection must not hold shutdown until the read
+   timeout: stop shuts its read side and returns at once. *)
+let test_stop_with_idle_keep_alive () =
+  let t = make_server () in
+  match Server.listen t ~port:0 with
+  | Error e -> Alcotest.fail e
+  | Ok port ->
+    let client = Load_client.http ~port () in
+    (match Load_client.query client "fast" with
+    | Ok o -> Alcotest.(check int) "served" 200 o.Load_client.o_code
+    | Error e -> Alcotest.fail e);
+    let (), took = Timer.time (fun () -> Server.stop t) in
+    Alcotest.(check bool)
+      (Printf.sprintf "stop took %.2fs, under 1s" took)
+      true (took < 1.0)
 
 let test_http_trace_header_and_keep_alive_optin () =
   let config = { Server.default_config with Server.request_timeout = None } in
@@ -770,13 +844,19 @@ let () =
           Alcotest.test_case "overload and endpoints" `Quick
             test_http_overload_and_endpoints;
           Alcotest.test_case "trace header, close by default" `Quick
-            test_http_trace_header_and_keep_alive_optin ] );
+            test_http_trace_header_and_keep_alive_optin;
+          Alcotest.test_case "shared routes agree" `Quick
+            test_http_shared_routes_agree;
+          Alcotest.test_case "bad Content-Length is 400" `Quick
+            test_http_bad_content_length ] );
       ( "load",
         [ Alcotest.test_case "client in process" `Quick
             test_load_client_in_process;
           Alcotest.test_case "client over http" `Quick test_load_client_http;
           Alcotest.test_case "client keep-alive reuse" `Quick
             test_load_client_keep_alive;
+          Alcotest.test_case "stop with an idle keep-alive client" `Quick
+            test_stop_with_idle_keep_alive;
           Alcotest.test_case "schedule determinism" `Quick
             test_loadgen_schedule;
           Alcotest.test_case "closed loop determinism" `Quick
