@@ -73,6 +73,50 @@ let mcts_cfg =
   { (Monsoon_mcts.Mcts.default_config ~rng:(Rng.create 77)) with
     Monsoon_mcts.Mcts.iterations = 100 }
 
+(* Fixtures for the plan/* kernels: the planner's hot path on real
+   multi-way IMDB queries (iq31 has 6 instances, iq58 7). The states are
+   256 per query, evenly spaced over the ones MCTS asks for actions on
+   while planning the query step by step (thousands, a quarter of them at
+   the two-plan cap, R_e up to ~35 masks; see
+   test/support/plan_states.mli). *)
+let plan_ctxs =
+  List.map
+    (fun name ->
+      Mdp.make_ctx small_imdb.Workload.catalog
+        (Workload.find_query small_imdb name))
+    [ "iq31"; "iq58" ]
+
+let plan_states =
+  List.map
+    (fun ctx ->
+      let all =
+        Monsoon_oracles.Plan_states.record ~iterations:20 ~seed:42 ctx
+      in
+      let n = Array.length all in
+      (ctx, Array.init (min n 256) (fun i -> all.(i * n / min n 256))))
+    plan_ctxs
+
+let legal_actions_pass enumerate () =
+  List.iter
+    (fun (ctx, states) ->
+      Array.iter (fun s -> ignore (enumerate ctx s)) states)
+    plan_states
+
+(* One planning step as the driver takes it on a cold query: a fresh
+   simulator and 50 MCTS iterations from the initial state. *)
+let plan_step () =
+  List.iter
+    (fun ctx ->
+      let sim = Simulator.create ctx Prior.spike_and_slab (Rng.create 3) in
+      let cfg =
+        { (Monsoon_mcts.Mcts.default_config ~rng:(Rng.create 4)) with
+          Monsoon_mcts.Mcts.iterations = 50 }
+      in
+      ignore
+        (Monsoon_mcts.Mcts.plan cfg (Simulator.problem sim)
+           (Mdp.init_state ctx)))
+    plan_ctxs
+
 (* Fixtures for the repo/* kernels: the cross-query statistics repository
    (lib/stats_repo). Two separate log files so the flush kernel's append
    growth never changes what the replay / lookup kernels read. The seed
@@ -159,10 +203,10 @@ let exec_columnar q e () =
 
 let exec_row q e () =
   let exec =
-    Monsoon_exec.Row_engine.create exec_cat q
-      (Monsoon_exec.Row_engine.budget 1e7)
+    Monsoon_oracles.Row_engine.create exec_cat q
+      (Monsoon_oracles.Row_engine.budget 1e7)
   in
-  ignore (Monsoon_exec.Row_engine.execute exec e)
+  ignore (Monsoon_oracles.Row_engine.execute exec e)
 
 (* Tiny Runner rows for the aggregation kernels (tables 4 and 5). *)
 let synthetic_rows =
@@ -230,6 +274,16 @@ let tests =
              ignore
                (Monsoon_mcts.Mcts.plan mcts_cfg (Simulator.problem sec23_sim)
                   (Mdp.init_state sec23_ctx))));
+      (* Action enumeration over recorded iq31/iq58 planner states, against
+         the frozen list-based enumerator on the same states; and one cold
+         planning step on the same two queries. *)
+      Test.make ~name:"plan/imdb-legal-actions"
+        (Staged.stage (legal_actions_pass Mdp.legal_actions));
+      Test.make ~name:"plan/imdb-legal-actions-oracle"
+        (Staged.stage
+           (legal_actions_pass
+              Monsoon_oracles.Legal_actions_oracle.legal_actions));
+      Test.make ~name:"plan/imdb-step" (Staged.stage plan_step);
       (* Columnar engine vs the frozen row engine, same query + plan. Each
          iteration builds a fresh executor, so hash tables and chunk
          buffers are paid inside the measurement for both sides. *)

@@ -36,112 +36,158 @@ let is_terminal ctx state = List.mem (Query.all_mask ctx.query) state.r_e
 
 let sort_plans plans = List.sort_uniq Expr.compare plans
 
-(* Does R_p already contain a plan covering (at least) this mask? Used to
-   avoid planning redundant work. *)
-let covered_in_rp state mask =
-  List.exists (fun e -> Relset.subset mask (Expr.mask e)) state.r_p
+(* Binary search in R_e, which is sorted ascending. *)
+let mem_sorted (a : Relset.t array) (m : Relset.t) =
+  let lo = ref 0 and hi = ref (Array.length a) and found = ref false in
+  while (not !found) && !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let v = a.(mid) in
+    if v = m then found := true
+    else if v < m then lo := mid + 1
+    else hi := mid
+  done;
+  !found
 
-(* Σ over an expression is useful only when it would measure a statistic
-   not yet known. *)
-let stats_useful ctx state mask =
-  List.exists
-    (fun tm -> not (Stats_catalog.has_measurement state.stats ~term:tm.Term.id))
-    (Query.interesting_terms ctx.query mask)
-
+(* The candidate order is the generation order reversed (candidates are
+   consed on): Join_exec pairs over R_e, then Join_planned pairs over the
+   joinable plans, then Join_mixed, each loop in list order. The order
+   feeds the planner's RNG, so every byte-identity pin depends on it. *)
 let legal_actions ctx state =
   let q = ctx.query in
+  let r_e = Array.of_list state.r_e in
+  let n_e = Array.length r_e in
+  let plans = List.map (fun e -> (e, Expr.mask e)) state.r_p in
   let planned_joinable =
-    List.filter (fun e -> not (Expr.has_stats e)) state.r_p
+    List.filter (fun (e, _) -> not (Expr.has_stats e)) plans
   in
-  (* Join candidates across the three action types, tagged with
-     connectivity. *)
-  let candidates = ref [] in
-  let add_candidate action left right =
-    candidates := (action, Query.connected q left right) :: !candidates
-  in
-  let rec pairs = function
-    | [] -> ()
-    | m1 :: rest ->
-      List.iter
-        (fun m2 ->
-          if Relset.disjoint m1 m2 then begin
-            let union = Relset.union m1 m2 in
-            if (not (List.mem union state.r_e)) && not (covered_in_rp state union)
-            then add_candidate (Join_exec (m1, m2)) m1 m2
-          end)
-        rest;
-      pairs rest
-  in
-  pairs state.r_e;
+  (* Plan-sprawl cap: with two pending plans, only plan-modifying moves and
+     EXECUTE are offered — materializing large sets of speculative subplans
+     in one step is never useful and bloats the search space. *)
+  let capped = List.length plans >= 2 in
+  (* Does R_p already contain a plan covering (at least) this mask? Used to
+     avoid planning redundant work. *)
+  let covered union = List.exists (fun (_, m) -> Relset.subset union m) plans in
   (* A join plan whose result already exists (mask in R_e) or duplicates
      another plan's coverage is pointless — and executing duplicates would
      leave inner nodes unmaterialized behind the result cache. *)
-  let union_useful ~consumed union =
-    (not (List.mem union state.r_e))
+  let union_useful ~consumed1 ~consumed2 union =
+    (not (mem_sorted r_e union))
     && not
          (List.exists
-            (fun e ->
-              (not (List.memq e consumed)) && Relset.equal (Expr.mask e) union)
-            state.r_p)
+            (fun (e, m) ->
+              e != consumed1 && e != consumed2 && Relset.equal m union)
+            plans)
   in
-  let rec plan_pairs = function
-    | [] -> ()
-    | e1 :: rest ->
-      List.iter
-        (fun e2 ->
+  (* One pass over the three candidate kinds. With [connected_only], a
+     candidate is kept only when a join predicate connects its sides; the
+     partner mask lets most R_e pairs skip that check. Join_exec
+     candidates are only counted, not built, when the cap would drop
+     them. Returns the kept candidates (reversed) and whether any was
+     seen. *)
+  let generate ~connected_only =
+    let acc = ref [] and found = ref false in
+    let keep left right =
+      (not connected_only) || Query.connected q left right
+    in
+    for i = 0 to n_e - 1 do
+      let m1 = r_e.(i) in
+      let partners =
+        if connected_only then Query.join_partners q m1 else Relset.empty
+      in
+      for j = i + 1 to n_e - 1 do
+        let m2 = r_e.(j) in
+        if
+          (not (capped && !found))
+          && ((not connected_only) || not (Relset.disjoint m2 partners))
+          && Relset.disjoint m1 m2
+        then begin
+          let union = Relset.union m1 m2 in
           if
-            Relset.disjoint (Expr.mask e1) (Expr.mask e2)
-            && union_useful ~consumed:[ e1; e2 ]
-                 (Relset.union (Expr.mask e1) (Expr.mask e2))
-          then
-            add_candidate (Join_planned (e1, e2)) (Expr.mask e1) (Expr.mask e2))
-        rest;
-      plan_pairs rest
+            (not (mem_sorted r_e union))
+            && (not (covered union))
+            && keep m1 m2
+          then begin
+            found := true;
+            if not capped then acc := Join_exec (m1, m2) :: !acc
+          end
+        end
+      done
+    done;
+    let rec plan_pairs = function
+      | [] -> ()
+      | (e1, m1) :: rest ->
+        List.iter
+          (fun (e2, m2) ->
+            if
+              Relset.disjoint m1 m2
+              && union_useful ~consumed1:e1 ~consumed2:e2 (Relset.union m1 m2)
+              && keep m1 m2
+            then begin
+              found := true;
+              acc := Join_planned (e1, e2) :: !acc
+            end)
+          rest;
+        plan_pairs rest
+    in
+    plan_pairs planned_joinable;
+    Array.iter
+      (fun m ->
+        List.iter
+          (fun (e, me) ->
+            if
+              Relset.disjoint m me
+              && union_useful ~consumed1:e ~consumed2:e (Relset.union m me)
+              && keep m me
+            then begin
+              found := true;
+              acc := Join_mixed (m, e) :: !acc
+            end)
+          planned_joinable)
+      r_e;
+    (!acc, !found)
   in
-  plan_pairs planned_joinable;
-  List.iter
-    (fun m ->
-      List.iter
-        (fun e ->
-          if
-            Relset.disjoint m (Expr.mask e)
-            && union_useful ~consumed:[ e ] (Relset.union m (Expr.mask e))
-          then add_candidate (Join_mixed (m, e)) m (Expr.mask e))
-        planned_joinable)
-    state.r_e;
-  let connected_exists = List.exists snd !candidates in
+  (* Cross products only when no connected candidate exists anywhere —
+     counting connected Join_exec candidates the cap then drops. *)
   let joins =
-    !candidates
-    |> List.filter (fun (_, conn) -> conn || not connected_exists)
-    |> List.map fst
+    match generate ~connected_only:true with
+    | joins, true -> joins
+    | _, false -> fst (generate ~connected_only:false)
   in
-  let sigma_exec =
-    state.r_e
-    |> List.filter (fun m ->
-           stats_useful ctx state m
-           && not
-                (List.exists
-                   (fun e -> Expr.has_stats e && Relset.equal (Expr.mask e) m)
-                   state.r_p))
-    |> List.map (fun m -> Add_stats_of_exec m)
+  (* Σ over an expression is useful only when it would measure a statistic
+     not yet known: some still-unmeasured interesting term lies inside its
+     mask. *)
+  let unmeasured =
+    Array.fold_right
+      (fun (term, rels) acc ->
+        if Stats_catalog.has_measurement state.stats ~term then acc
+        else rels :: acc)
+      (Query.interesting_masks q) []
   in
-  let sigma_wrap =
-    planned_joinable
-    |> List.filter (fun e -> stats_useful ctx state (Expr.mask e))
-    |> List.map (fun e -> Wrap_stats e)
+  let stats_useful mask =
+    List.exists (fun rels -> Relset.subset rels mask) unmeasured
   in
   let execute = if state.r_p = [] then [] else [ Execute ] in
-  (* Plan-sprawl cap: with two pending plans, only plan-modifying moves and
-     EXECUTE are offered — materializing large sets of speculative
-     subplans in one step is never useful and bloats the search space. *)
-  let opens_new_plan = function
-    | Add_stats_of_exec _ | Join_exec _ -> true
-    | Wrap_stats _ | Join_planned _ | Join_mixed _ | Execute -> false
+  let sigma_wrap =
+    List.fold_right
+      (fun (e, m) acc -> if stats_useful m then Wrap_stats e :: acc else acc)
+      planned_joinable execute
   in
-  let all = joins @ sigma_exec @ sigma_wrap @ execute in
-  if List.length state.r_p >= 2 then
-    List.filter (fun a -> not (opens_new_plan a)) all
-  else all
+  let sigma =
+    if capped then sigma_wrap
+    else
+      Array.fold_right
+        (fun m acc ->
+          if
+            stats_useful m
+            && not
+                 (List.exists
+                    (fun (e, me) -> Expr.has_stats e && Relset.equal me m)
+                    plans)
+          then Add_stats_of_exec m :: acc
+          else acc)
+        r_e sigma_wrap
+  in
+  joins @ sigma
 
 let remove_plan state e =
   List.filter (fun e' -> not (Expr.equal e e')) state.r_p

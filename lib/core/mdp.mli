@@ -47,7 +47,26 @@ val legal_actions : ctx -> state -> action list
     connecting predicate is only offered when no connected candidate exists
     anywhere (cross products only when necessary), and Σ is only offered
     when it would measure at least one still-unknown statistic. Plans with a
-    mask already covered inside R_p are not duplicated. *)
+    mask already covered inside R_p are not duplicated. With two pending
+    plans (the sprawl cap) only [Join_planned], [Join_mixed], [Wrap_stats]
+    and [Execute] are offered.
+
+    {b Ordering contract.} The order of the list feeds the planner's RNG
+    (uniform picks by index), so every byte-identity pin depends on it:
+    - joins come first, then [Add_stats_of_exec] (R_e order), then
+      [Wrap_stats] (R_p order), then [Execute] last;
+    - the joins are in reverse generation order, where generation runs
+      [Join_exec] over R_e pairs [(i, j)], [i < j], then [Join_planned]
+      over R_p pairs, then [Join_mixed] over R_e × R_p;
+    - the cap comes after connectivity: a connected [Join_exec] that the
+      cap drops still suppresses disconnected [Join_planned] and
+      [Join_mixed] candidates.
+
+    Connected candidates are generated first, from the query's precomputed
+    join-side masks ({!Monsoon_relalg.Query.connected},
+    {!Monsoon_relalg.Query.join_partners}); the cross-product pass runs
+    only when that finds none. The test suite pins the result, order
+    included, to a frozen copy of the earlier enumerator. *)
 
 val apply_plan_edit : state -> action -> state
 (** The deterministic transitions; raises [Invalid_argument] on [Execute]. *)

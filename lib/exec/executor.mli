@@ -13,8 +13,8 @@
     column hashes straight into HyperLogLog. Opaque (non-identity) UDF
     terms and armed fault plans take the scalar row path, which is
     observationally identical — the differential suite pins charged cost,
-    [stat_obs], counters and checkpoint draw order against the frozen
-    {!Row_engine}.
+    [stat_obs], counters and checkpoint draw order against the frozen row
+    engine (test/support/row_engine.ml).
 
     Cost accounting matches {!Monsoon_relalg.Cost_model}: each join node is
     charged its output cardinality, a Σ node an extra pass over its input,
@@ -114,5 +114,5 @@ val udf_observations : t -> (int * float * float) list
     scans contribute the select term's pass fraction, Σ passes the
     distinct-value fraction [d / card]. Purely observational — the
     accumulator feeds the cross-query statistics repository and alters no
-    cost, RNG draw, or checkpoint order, so the {!Row_engine} differential
+    cost, RNG draw, or checkpoint order, so the row-engine differential
     contract is untouched. *)

@@ -7,6 +7,9 @@ type t = {
   terms : Term.t array;
   preds_of_term : int list array;   (* term id -> pred ids *)
   select_of_rel : int list array;   (* rel id -> select pred ids *)
+  joins : (int * Relset.t * Relset.t) array;
+      (* join preds in id order: (pred id, left side's rels, right's) *)
+  interesting : (int * Relset.t) array;  (* (term id, rels), in id order *)
 }
 
 let name t = t.name
@@ -33,26 +36,48 @@ let newly_evaluable t ~left ~right =
          && not (Predicate.evaluable p right))
   |> List.map Predicate.id
 
-let connecting t left right =
-  Array.to_list t.preds
-  |> List.filter (fun p ->
-         match Predicate.join_sides p with
-         | None -> false
-         | Some (l, r) ->
-           let lm = Term.rels l and rm = Term.rels r in
-           (Relset.subset lm left && Relset.subset rm right)
-           || (Relset.subset lm right && Relset.subset rm left))
-  |> List.map Predicate.id
+(* Can the join predicate serve as an equi-join condition between the
+   two sides? *)
+let links (_, lm, rm) left right =
+  (Relset.subset lm left && Relset.subset rm right)
+  || (Relset.subset lm right && Relset.subset rm left)
 
-let connected t left right = connecting t left right <> []
+let connecting t left right =
+  Array.fold_right
+    (fun ((id, _, _) as j) acc -> if links j left right then id :: acc else acc)
+    t.joins []
+
+(* Allocation-free: the planner asks this for every candidate pair. *)
+let connected t left right =
+  let i = ref 0 and found = ref false in
+  while (not !found) && !i < Array.length t.joins do
+    found := links t.joins.(!i) left right;
+    incr i
+  done;
+  !found
+
+let join_partners t mask =
+  (* An empty side lies inside every mask, so a predicate with one links
+     [mask] to anything: it marks every instance. *)
+  let partner side = if side = Relset.empty then -1 else side in
+  Array.fold_left
+    (fun acc (_, lm, rm) ->
+      let acc =
+        if Relset.subset lm mask then Relset.union acc (partner rm) else acc
+      in
+      if Relset.subset rm mask then Relset.union acc (partner lm) else acc)
+    Relset.empty t.joins
 
 let preds_of_term t id = t.preds_of_term.(id)
 let select_preds_of_rel t id = t.select_of_rel.(id)
 
 let interesting_terms t mask =
-  Array.to_list t.terms
-  |> List.filter (fun tm ->
-         t.preds_of_term.(tm.Term.id) <> [] && Term.evaluable tm mask)
+  Array.fold_right
+    (fun (id, rels) acc ->
+      if Relset.subset rels mask then t.terms.(id) :: acc else acc)
+    t.interesting []
+
+let interesting_masks t = t.interesting
 
 module Builder = struct
   type query = t
@@ -133,5 +158,23 @@ module Builder = struct
         | Predicate.Select _ | Predicate.Join _ -> ())
       preds;
     Array.iteri (fun i l -> select_of_rel.(i) <- List.rev l) select_of_rel;
-    { name = b.bname; rels; preds; terms; preds_of_term; select_of_rel }
+    let joins =
+      Array.of_list
+        (List.filter_map
+           (fun p ->
+             Option.map
+               (fun (l, r) -> (Predicate.id p, Term.rels l, Term.rels r))
+               (Predicate.join_sides p))
+           (Array.to_list preds))
+    in
+    let interesting =
+      Array.of_list
+        (List.filter_map
+           (fun tm ->
+             if preds_of_term.(tm.Term.id) = [] then None
+             else Some (tm.Term.id, Term.rels tm))
+           (Array.to_list terms))
+    in
+    { name = b.bname; rels; preds; terms; preds_of_term; select_of_rel;
+      joins; interesting }
 end

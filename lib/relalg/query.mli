@@ -36,6 +36,15 @@ val connecting : t -> Relset.t -> Relset.t -> int list
     filters. *)
 
 val connected : t -> Relset.t -> Relset.t -> bool
+(** [connecting t left right <> []], without building the list. Both scan
+    the join predicates' (left rels, right rels) masks, computed once by
+    {!Builder.build}; this one allocates nothing. *)
+
+val join_partners : t -> Relset.t -> Relset.t
+(** Union of the partner sides of every join predicate with one side
+    inside the mask. [connected t left right] implies that [right] meets
+    [join_partners t left], so the planner uses it to skip pairs without
+    calling {!connected}. *)
 
 val preds_of_term : t -> int -> int list
 (** Predicates mentioning the term. *)
@@ -45,7 +54,14 @@ val select_preds_of_rel : t -> int -> int list
 
 val interesting_terms : t -> Relset.t -> Term.t list
 (** Terms that participate in at least one predicate and are evaluable on
-    the mask — the ones a Σ pass over such an expression measures. *)
+    the mask — the ones a Σ pass over such an expression measures — in id
+    order. *)
+
+val interesting_masks : t -> (int * Relset.t) array
+(** Every term that participates in at least one predicate, as
+    [(term id, rels)] in id order, computed once by {!Builder.build}: the
+    term is interesting on a mask iff its rels are a subset of it. Shared;
+    do not mutate. *)
 
 (** Incremental construction. *)
 module Builder : sig

@@ -11,7 +11,7 @@ open Monsoon_storage
 open Monsoon_relalg
 open Monsoon_workloads
 module E = Monsoon_exec.Executor
-module R = Monsoon_exec.Row_engine
+module R = Monsoon_oracles.Row_engine
 
 (* One fingerprint string per step: hex floats are bit-exact, Expr.key is
    shape-exact, and string equality gives readable Alcotest diffs. *)

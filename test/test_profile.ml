@@ -3,6 +3,7 @@ open Monsoon_storage
 open Monsoon_relalg
 open Monsoon_exec
 open Monsoon_telemetry
+open Monsoon_oracles
 module Driver = Monsoon_core.Driver
 
 (* Same two-table fixture as test_exec: R(k, v) ⋈ S(k) on k, optional
