@@ -208,6 +208,26 @@ let exec_row q e () =
   in
   ignore (Monsoon_oracles.Row_engine.execute exec e)
 
+(* exec/imdb-multiway: iq11's fixed left-deep plan (((t ⨝ mi) ⨝ it) ⨝ kt)
+   over IMDB at scale 1, where the joins emit ≈5.6·10⁴ tuples. Unlike the
+   probe-dominated exec/hash-join-columnar, this kernel sees what a real
+   multi-way query pays per emitted tuple. *)
+let multiway_imdb = Imdb.workload { Imdb.seed = 42; scale = 1.0 }
+let multiway_q = Workload.find_query multiway_imdb "iq11"
+
+let multiway_plan =
+  List.fold_left
+    (fun acc r -> Expr.join acc (Expr.base r))
+    (Expr.base 0)
+    (List.init (Query.n_rels multiway_q - 1) (fun i -> i + 1))
+
+let exec_multiway () =
+  let exec =
+    Monsoon_exec.Executor.create multiway_imdb.Workload.catalog multiway_q
+      (Monsoon_exec.Executor.budget 1e8)
+  in
+  ignore (Monsoon_exec.Executor.execute exec multiway_plan)
+
 (* Tiny Runner rows for the aggregation kernels (tables 4 and 5). *)
 let synthetic_rows =
   let outcome cost =
@@ -301,6 +321,7 @@ let tests =
         (Staged.stage (exec_columnar exec_scan_q (Expr.stats (Expr.base 0))));
       Test.make ~name:"exec/sigma-row"
         (Staged.stage (exec_row exec_scan_q (Expr.stats (Expr.base 0))));
+      Test.make ~name:"exec/imdb-multiway" (Staged.stage exec_multiway);
       (* Operator profiling: the enabled collector prices the per-node
          scratch writes against the plain join kernel above; the disabled
          mutators must be a single load-and-branch, like the Null sinks

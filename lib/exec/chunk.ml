@@ -1,51 +1,60 @@
 open Monsoon_storage
-open Monsoon_relalg
 
-(* A batch view over one materialized relation: the boxed rows it was
-   materialized as, plus gather-once typed columns for each slot the
-   vectorized operators touch. When the relation is an unfiltered base
-   table the view borrows the table's own cached columns, so repeated
-   executions over one catalog never re-materialize a base column. *)
+(* A batch view over one materialized relation: gather-once typed columns
+   for each slot the vectorized operators touch. A column is gathered from
+   the owning base table's cached column through the intermediate's row
+   ids; an unfiltered base scan borrows the table's column itself, so
+   repeated executions over one catalog never re-materialize it. *)
 type t = {
-  rows : Table.row array;
-  tys : Value.ty array;  (* declared type per absolute slot *)
+  inter : Intermediate.t;
   cols : Column.t option array;
-  table : Table.t option;  (* set only when [rows == Table.rows table] *)
 }
 
-let slot_types q catalog (inter : Intermediate.t) =
-  let tys = Array.make inter.Intermediate.width Value.TInt in
-  Array.iteri
-    (fun rel off ->
-      if off >= 0 then begin
-        let tbl =
-          Catalog.find catalog (Query.rel_by_id q rel).Query.table
-        in
-        Array.iteri
-          (fun j (c : Schema.column) -> tys.(off + j) <- c.Schema.ty)
-          (Schema.columns (Table.schema tbl))
-      end)
-    inter.Intermediate.offsets;
-  tys
+let of_intermediate (inter : Intermediate.t) =
+  { inter; cols = Array.make inter.Intermediate.width None }
 
-let of_intermediate ?table q catalog (inter : Intermediate.t) =
-  { rows = inter.Intermediate.rows;
-    tys = slot_types q catalog inter;
-    cols = Array.make inter.Intermediate.width None;
-    table }
+let source t = t.inter
 
-let length t = Array.length t.rows
+let gather_ints (data : Column.ints) ids : Column.ints =
+  let n = Array.length ids in
+  let out = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
+  for k = 0 to n - 1 do
+    Bigarray.Array1.unsafe_set out k
+      (Bigarray.Array1.unsafe_get data (Array.unsafe_get ids k))
+  done;
+  out
+
+(* The column of a subset of a base column's rows. Typed representations
+   gather directly (a dictionary column keeps the base dictionary); a boxed
+   base column re-runs [Column.of_values] over the subset, so whether the
+   subset unboxes is decided by the subset's values, as for any column. *)
+let gather (base : Column.t) ty ids : Column.t =
+  match base with
+  | Column.Ints { kind; data } -> Column.Ints { kind; data = gather_ints data ids }
+  | Column.Floats data ->
+    let n = Array.length ids in
+    let out = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+    for k = 0 to n - 1 do
+      Bigarray.Array1.unsafe_set out k
+        (Bigarray.Array1.unsafe_get data (Array.unsafe_get ids k))
+    done;
+    Column.Floats out
+  | Column.Dict { codes; dict; strs } ->
+    Column.Dict { codes = gather_ints codes ids; dict; strs }
+  | Column.Boxed vs -> Column.of_values ty (Array.map (fun i -> vs.(i)) ids)
 
 let column t slot =
   match t.cols.(slot) with
   | Some c -> c
   | None ->
+    let p, j = Intermediate.part_of_slot t.inter slot in
+    let base = Table.column_at p.Intermediate.table j in
     let c =
-      match t.table with
-      | Some tbl -> Table.column_at tbl slot
-      | None ->
-        Column.of_values t.tys.(slot)
-          (Array.map (fun r -> Array.unsafe_get r slot) t.rows)
+      match p.Intermediate.ids with
+      | Intermediate.All -> base
+      | Intermediate.Ids ids ->
+        let ty = (Schema.columns (Table.schema p.Intermediate.table)).(j) in
+        gather base ty.Schema.ty ids
     in
     t.cols.(slot) <- Some c;
     c
@@ -185,8 +194,7 @@ let refine p sel =
   done;
   sel.n <- !k
 
-let gather (rows : Table.row array) sel =
-  Array.init sel.n (fun k -> rows.(sel.idx.(k)))
+let sel_ids sel = Array.sub sel.idx 0 sel.n
 
 let next_pow2 n =
   let rec go k = if k >= n then k else go (k * 2) in

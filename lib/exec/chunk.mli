@@ -1,28 +1,29 @@
 (** Batch views for the vectorized executor.
 
-    A chunk pairs a materialized relation's rows with gather-once typed
+    A chunk pairs a materialized relation ({!Intermediate.t}: base-row ids
+    per instance, no tuples) with gather-once typed
     {!Monsoon_storage.Column} views and selection-vector machinery. The
     executor's vectorized operators (filtered scan, hash-join build/probe,
-    cross product, Σ pass) work on chunks; each column of a relation is
-    materialized at most once per executor, and unfiltered base tables
-    borrow the columns cached on the {!Monsoon_storage.Table} itself. *)
+    cross product, Σ pass) work on chunks.
+
+    Representation contract for {!column}: each slot is gathered at most
+    once per chunk, straight from the owning base table's cached column
+    through the intermediate's ids. [Ints]/[Floats] gather into a fresh
+    Bigarray and [Dict] gathers its codes and shares the base dictionary;
+    a [Boxed] base column is re-materialized with
+    {!Monsoon_storage.Column.of_values} over the gathered values, so the
+    boxed-or-typed decision is made by the subset, as for any column. An
+    unfiltered base scan ({!Intermediate.All}) borrows the table's cached
+    column itself. *)
 
 open Monsoon_storage
-open Monsoon_relalg
 
-type t = {
-  rows : Table.row array;
-  tys : Value.ty array;
-  cols : Column.t option array;
-  table : Table.t option;
-}
+type t
 
-val of_intermediate : ?table:Table.t -> Query.t -> Catalog.t -> Intermediate.t -> t
-(** Pass [?table] only when the intermediate's rows are exactly the
-    table's backing rows (an unfiltered base scan): the chunk then shares
-    the table's cached columns instead of gathering. *)
+val of_intermediate : Intermediate.t -> t
 
-val length : t -> int
+val source : t -> Intermediate.t
+(** The intermediate this chunk views. *)
 
 val column : t -> int -> Column.t
 (** Column at an absolute slot, gathered on first access. *)
@@ -55,7 +56,8 @@ type sel = { mutable idx : int array; mutable n : int }
 
 val sel_all : int -> sel
 val refine : (int -> bool) -> sel -> unit
-val gather : Table.row array -> sel -> Table.row array
+val sel_ids : sel -> int array
+(** The selected indices, as a fresh array. *)
 
 val sel_eq_const : Column.t -> Value.t -> int -> sel
 (** [sel_eq_const col v n] is [sel_all n] refined by [eq_const col v],

@@ -95,11 +95,11 @@ let spend t n =
   if t.bud.remaining < 0.0 then raise Timeout
 
 (* Chunk (batch view) of a materialized relation, keyed like the store. *)
-let chunk_of ?table t (inter : Intermediate.t) =
+let chunk_of t (inter : Intermediate.t) =
   match Hashtbl.find_opt t.chunks inter.Intermediate.mask with
-  | Some c when c.Chunk.rows == inter.Intermediate.rows -> c
+  | Some c when Chunk.source c == inter -> c
   | _ ->
-    let c = Chunk.of_intermediate ?table t.query t.catalog inter in
+    let c = Chunk.of_intermediate inter in
     Hashtbl.replace t.chunks inter.Intermediate.mask c;
     c
 
@@ -110,12 +110,10 @@ let identity_slot t (inter : Intermediate.t) (tm : Term.t) =
     Some (Intermediate.col_index t.query t.catalog inter ~rel ~col)
   | _ -> None
 
-let compile_term t inter tm =
-  let ev =
-    Term.compile tm
-      ~col_index:(fun ~rel ~col ->
-        Intermediate.col_index t.query t.catalog inter ~rel ~col)
-  in
+(* [col_index] resolves a column to its slot in the rows the term will
+   be evaluated on. *)
+let compile_term t ~col_index tm =
+  let ev = Term.compile tm ~col_index in
   (* UDF checkpoint: the wrapper exists only when a plan is armed, so the
      disabled path keeps the bare compiled evaluator. *)
   if Fault.armed t.fault then (fun row ->
@@ -123,14 +121,17 @@ let compile_term t inter tm =
     ev row)
   else ev
 
-(* Predicate checkers over a single intermediate's rows. *)
-let compile_filter t inter pid =
+let inter_index t inter = Intermediate.col_index t.query t.catalog inter
+
+(* Predicate checkers over rows laid out as [col_index] says. *)
+let compile_filter t ~col_index pid =
   match Query.pred t.query pid with
   | Predicate.Select { term = tm; value; _ } ->
-    let ev = compile_term t inter tm in
+    let ev = compile_term t ~col_index tm in
     fun row -> Value.equal (ev row) value
   | Predicate.Join { left; right; _ } ->
-    let evl = compile_term t inter left and evr = compile_term t inter right in
+    let evl = compile_term t ~col_index left
+    and evr = compile_term t ~col_index right in
     fun row -> Value.equal (evl row) (evr row)
 
 (* Vectorized filters over one chunk: every term of every predicate must
@@ -171,7 +172,7 @@ let scan_base t rel =
     (* Row checkpoint: one draw per scanned base row. A poisoned row aborts
        the scan — corrupt data is detected, not silently propagated. *)
     if Fault.armed t.fault then Array.iter (fun _ -> Fault.row t.fault) raw;
-    let inter0 = Intermediate.of_base t.query t.catalog ~rows:raw rel in
+    let inter0 = Intermediate.of_base t.query t.catalog ~base:raw rel in
     let pids = Query.select_preds_of_rel t.query rel in
     Profile.set_input t.prof
       ~rows:(float_of_int (Array.length raw))
@@ -185,7 +186,7 @@ let scan_base t rel =
         let vectorized =
           if Fault.armed t.fault then None
           else begin
-            let chunk = chunk_of ~table t inter0 in
+            let chunk = chunk_of t inter0 in
             match vector_filters t inter0 chunk pids with
             | None -> None
             | Some preds ->
@@ -235,30 +236,33 @@ let scan_base t rel =
                   List.iter (fun p -> Chunk.refine p sel) preds;
                   sel
               in
-              Some (Chunk.gather raw sel)
+              Some (Chunk.sel_ids sel)
           end
         in
-        let rows =
+        let ids =
           match vectorized with
-          | Some rows -> rows
+          | Some ids -> ids
           | None ->
             Metric.Counter.inc t.m.m_scalar;
             Profile.set_path t.prof "scalar";
             Profile.add_repr_rows t.prof;
-            let filters = List.map (compile_filter t inter0) pids in
+            let col_index = inter_index t inter0 in
+            let filters = List.map (compile_filter t ~col_index) pids in
             let keep =
               List.fold_left
                 (fun acc f row -> acc row && f row)
                 (fun _ -> true) filters
             in
-            Array.of_seq (Seq.filter keep (Array.to_seq raw))
+            let sel = Chunk.sel_all (Array.length raw) in
+            Chunk.refine (fun i -> keep raw.(i)) sel;
+            Chunk.sel_ids sel
         in
-        spend t (float_of_int (Array.length rows));
+        spend t (float_of_int (Array.length ids));
         (* Selectivity observations for the repository: each select term on
            this scan evaluated every raw row and kept this fraction. *)
         let n_in = float_of_int (Array.length raw) in
         let frac =
-          if n_in = 0.0 then 0.0 else float_of_int (Array.length rows) /. n_in
+          if n_in = 0.0 then 0.0 else float_of_int (Array.length ids) /. n_in
         in
         List.iter
           (fun pid ->
@@ -267,14 +271,11 @@ let scan_base t rel =
               t.udf_obs <- (tm.Term.id, n_in, frac) :: t.udf_obs
             | Predicate.Join _ -> ())
           pids;
-        Intermediate.of_base t.query t.catalog ~rows rel
+        Intermediate.of_base ~ids t.query t.catalog ~base:raw rel
       end
     in
     Hashtbl.replace t.store mask inter;
-    if not (Fault.armed t.fault) then begin
-      let table = if inter.Intermediate.rows == raw then Some table else None in
-      ignore (chunk_of ?table t inter)
-    end;
+    if not (Fault.armed t.fault) then ignore (chunk_of t inter);
     inter
 
 (* Orientation of a connecting join predicate: which term keys which side. *)
@@ -284,55 +285,64 @@ let orient_pred t lm pid =
     if Relset.subset (Term.rels left) lm then (left, right) else (right, left)
   | Predicate.Select _ -> assert false
 
-(* Growable output-row buffer (emission order preserved). *)
-type rowbuf = { mutable data : Table.row array; mutable len : int }
+(* Growable output buffer of (left index, right index) pairs, in emission
+   order: a join emits tuple ids, never tuples. *)
+type pairs = { mutable l : int array; mutable r : int array; mutable len : int }
 
-let rowbuf () = { data = Array.make 1024 [||]; len = 0 }
+let pairs () = { l = Array.make 1024 0; r = Array.make 1024 0; len = 0 }
 
-let rowbuf_push b row =
-  if b.len = Array.length b.data then begin
-    let d = Array.make (2 * b.len) [||] in
-    Array.blit b.data 0 d 0 b.len;
-    b.data <- d
+let push b li ri =
+  if b.len = Array.length b.l then begin
+    let grow a =
+      let d = Array.make (2 * b.len) 0 in
+      Array.blit a 0 d 0 b.len;
+      d
+    in
+    b.l <- grow b.l;
+    b.r <- grow b.r
   end;
-  b.data.(b.len) <- row;
+  Array.unsafe_set b.l b.len li;
+  Array.unsafe_set b.r b.len ri;
   b.len <- b.len + 1
-
-let rowbuf_contents b = Array.init b.len (fun i -> b.data.(i))
 
 (* The scalar join loops — the armed-fault path (checkpoint draw order is
    part of the contract) and the fallback for non-identity key or filter
-   terms. Byte-for-byte the row engine's semantics. *)
+   terms. Byte-for-byte the row engine's semantics: keys and straddling
+   filters are evaluated on boxed rows (built on demand), and the hash
+   table maps keys to build-row indices in the row engine's insertion
+   order, so [Hashtbl.find_all] yields the same pairs in the same order. *)
 let hash_join_scalar t (la : Intermediate.t) (rb : Intermediate.t) ~conn
-    ~filter_pids ~mask ~offsets ~width =
-  let out = ref [] in
-  let emit lrow rrow =
+    ~filter_pids =
+  let out = pairs () in
+  let lrows = Intermediate.rows la and rrows = Intermediate.rows rb in
+  (* Filters run on the combined layout; only they need the combined row. *)
+  let col_index = Intermediate.pair_col_index t.query t.catalog la rb in
+  let filters = List.map (compile_filter t ~col_index) filter_pids in
+  let width = la.Intermediate.width + rb.Intermediate.width in
+  let accept li ri =
+    filters = []
+    ||
     let row = Array.make width Value.Null in
-    Array.blit lrow 0 row 0 la.Intermediate.width;
-    Array.blit rrow 0 row la.Intermediate.width rb.Intermediate.width;
-    row
+    Array.blit lrows.(li) 0 row 0 la.Intermediate.width;
+    Array.blit rrows.(ri) 0 row la.Intermediate.width rb.Intermediate.width;
+    List.for_all (fun f -> f row) filters
   in
-  (* Filters run on the combined layout; build a template intermediate to
-     compile them against. *)
-  let combined_proto = { Intermediate.mask; offsets; width; rows = [||] } in
-  let filters = List.map (compile_filter t combined_proto) filter_pids in
-  let accept row = List.for_all (fun f -> f row) filters in
+  let emit li ri =
+    if accept li ri then begin
+      spend t 1.0;
+      Metric.Counter.inc t.m.m_emitted;
+      push out li ri
+    end
+  in
   if conn = [] then begin
     (* Cross product (with any straddling filters). *)
     Metric.Counter.add t.m.m_probed
       (float_of_int (Intermediate.cardinality la));
-    Array.iter
-      (fun lrow ->
-        Array.iter
-          (fun rrow ->
-            let row = emit lrow rrow in
-            if accept row then begin
-              spend t 1.0;
-              Metric.Counter.inc t.m.m_emitted;
-              out := row :: !out
-            end)
-          rb.Intermediate.rows)
-      la.Intermediate.rows
+    for li = 0 to Array.length lrows - 1 do
+      for ri = 0 to Array.length rrows - 1 do
+        emit li ri
+      done
+    done
   end
   else begin
     (* Hash join on the composite key of all connecting predicates. Build on
@@ -342,13 +352,15 @@ let hash_join_scalar t (la : Intermediate.t) (rb : Intermediate.t) ~conn
         (la, rb, true)
       else (rb, la, false)
     in
+    let brows, prows = if build_is_left then (lrows, rrows) else (rrows, lrows) in
     let build_mask = build.Intermediate.mask in
     let keyers_build, keyers_probe =
       List.split
         (List.map
            (fun pid ->
              let bt, pt = orient_pred t build_mask pid in
-             (compile_term t build bt, compile_term t probe pt))
+             ( compile_term t ~col_index:(inter_index t build) bt,
+               compile_term t ~col_index:(inter_index t probe) pt ))
            conn)
     in
     let key_of keyers row = List.map (fun k -> k row) keyers in
@@ -359,26 +371,18 @@ let hash_join_scalar t (la : Intermediate.t) (rb : Intermediate.t) ~conn
     (* Build checkpoint: one draw per hash-join build. *)
     Fault.build t.fault;
     let table = Hashtbl.create (Intermediate.cardinality build * 2) in
-    Array.iter
-      (fun row -> Hashtbl.add table (key_of keyers_build row) row)
-      build.Intermediate.rows;
-    Array.iter
-      (fun prow ->
+    Array.iteri
+      (fun bi row -> Hashtbl.add table (key_of keyers_build row) bi)
+      brows;
+    Array.iteri
+      (fun pi prow ->
         let k = key_of keyers_probe prow in
         List.iter
-          (fun brow ->
-            let row =
-              if build_is_left then emit brow prow else emit prow brow
-            in
-            if accept row then begin
-              spend t 1.0;
-              Metric.Counter.inc t.m.m_emitted;
-              out := row :: !out
-            end)
+          (fun bi -> if build_is_left then emit bi pi else emit pi bi)
           (Hashtbl.find_all table k))
-      probe.Intermediate.rows
+      prows
   end;
-  Array.of_list (List.rev !out)
+  out
 
 (* Straddling filters as (left-index, right-index) predicates: every term
    must be an identity projection on one side. *)
@@ -423,21 +427,14 @@ let next_pow2 n =
    reverse-insertion within equal keys — exactly [Hashtbl.find_all]) all
    replicate the scalar loop. *)
 let hash_join_fast t (la : Intermediate.t) (rb : Intermediate.t) ~conn
-    ~filter_pids ~width =
+    ~filter_pids =
   let chunk_la = chunk_of t la and chunk_rb = chunk_of t rb in
   match pair_filters t la rb chunk_la chunk_rb filter_pids with
   | None -> None
   | Some accepts ->
     Profile.add_batches t.prof 2;
-    let emit li ri =
-      let row = Array.make width Value.Null in
-      Array.blit la.Intermediate.rows.(li) 0 row 0 la.Intermediate.width;
-      Array.blit rb.Intermediate.rows.(ri) 0 row la.Intermediate.width
-        rb.Intermediate.width;
-      row
-    in
     let accept li ri = List.for_all (fun f -> f li ri) accepts in
-    let out = rowbuf () in
+    let out = pairs () in
     (* Per-row budget accounting stays inline (the Timeout point is part of
        the contract); the atomic metric counters are batched and flushed at
        loop exit — including the Timeout exit, so totals are unchanged. *)
@@ -457,7 +454,7 @@ let hash_join_fast t (la : Intermediate.t) (rb : Intermediate.t) ~conn
         raise Timeout
       end;
       emitted := !emitted +. 1.0;
-      rowbuf_push out (emit li ri)
+      push out li ri
     in
     if conn = [] then begin
       Metric.Counter.add t.m.m_probed
@@ -471,7 +468,7 @@ let hash_join_fast t (la : Intermediate.t) (rb : Intermediate.t) ~conn
         done
       done;
       flush_counters ();
-      Some (rowbuf_contents out)
+      Some out
     end
     else begin
       let build_is_left =
@@ -576,7 +573,7 @@ let hash_join_fast t (la : Intermediate.t) (rb : Intermediate.t) ~conn
         in
         if fused then begin
           flush_counters ();
-          Some (rowbuf_contents out)
+          Some out
         end
         else begin
         Profile.set_path t.prof "chained";
@@ -615,7 +612,7 @@ let hash_join_fast t (la : Intermediate.t) (rb : Intermediate.t) ~conn
           done
         done;
         flush_counters ();
-        Some (rowbuf_contents out)
+        Some out
         end
     end
 
@@ -627,7 +624,6 @@ let hash_join t (la : Intermediate.t) (rb : Intermediate.t) =
       ~right:rb.Intermediate.mask
   in
   let filter_pids = List.filter (fun p -> not (List.mem p conn)) newly in
-  let mask, offsets, width = Intermediate.combined_layout la rb in
   let nl = Intermediate.cardinality la and nr = Intermediate.cardinality rb in
   (* Join selectivity is measured against the cross-product size. *)
   let set_io () =
@@ -637,13 +633,13 @@ let hash_join t (la : Intermediate.t) (rb : Intermediate.t) =
     if conn = [] then Profile.set_kind t.prof Profile.Cross
   in
   set_io ();
-  let rows =
+  let out =
     let fast =
       if Fault.armed t.fault then None
-      else hash_join_fast t la rb ~conn ~filter_pids ~width
+      else hash_join_fast t la rb ~conn ~filter_pids
     in
     match fast with
-    | Some rows -> rows
+    | Some out -> out
     | None ->
       Metric.Counter.inc t.m.m_scalar;
       (* The failed fast attempt may have left scratch behind (batches,
@@ -653,9 +649,9 @@ let hash_join t (la : Intermediate.t) (rb : Intermediate.t) =
       set_io ();
       Profile.set_path t.prof (if conn = [] then "cross-scalar" else "scalar");
       Profile.add_repr_rows t.prof;
-      hash_join_scalar t la rb ~conn ~filter_pids ~mask ~offsets ~width
+      hash_join_scalar t la rb ~conn ~filter_pids
   in
-  { Intermediate.mask; offsets; width; rows }
+  Intermediate.join la rb ~left:out.l ~right:out.r out.len
 
 let stats_pass t (inter : Intermediate.t) =
   (* One extra pass over the materialized input computes an HLL distinct
@@ -693,10 +689,10 @@ let stats_pass t (inter : Intermediate.t) =
             | None ->
               incr row_terms;
               Profile.add_repr_rows t.prof;
-              let ev = compile_term t inter tm in
+              let ev = compile_term t ~col_index:(inter_index t inter) tm in
               Array.iter
                 (fun row -> Hyperloglog.add_hash hll (Value.hash (ev row)))
-                inter.Intermediate.rows);
+                (Intermediate.rows inter));
             let d = Float.max 1.0 (Float.round (Hyperloglog.count hll)) in
             t.udf_obs <-
               (tm.Term.id, float_of_int card,
@@ -841,5 +837,5 @@ let execute t expr =
 
 let result_rows t expr =
   match materialized t (Expr.mask expr) with
-  | Some inter -> inter.Intermediate.rows
+  | Some inter -> Intermediate.rows inter
   | None -> invalid_arg "Executor.result_rows: not materialized"

@@ -53,8 +53,9 @@ let make_node p state = { state; untried = p.actions state; edges = []; visits =
 let edge_mean e = if e.e_visits = 0 then 0.0 else e.e_total /. float_of_int e.e_visits
 
 (* Rollout: uniformly random actions until a terminal state; the return is
-   the (undiscounted, γ = 1) sum of rewards. *)
-let rollout cfg p state =
+   the (undiscounted, γ = 1) sum of rewards. [first] is [p.actions state],
+   already enumerated by the caller. *)
+let rollout cfg p state ~first =
   let pick =
     match p.rollout_policy with
     | Some policy -> policy cfg.rng
@@ -64,7 +65,7 @@ let rollout cfg p state =
   let rec go state steps acc =
     if p.is_terminal state || steps >= cfg.max_rollout_steps then acc
     else
-      match p.actions state with
+      match if steps = 0 then first else p.actions state with
       | [] -> acc
       | acts ->
         let a = pick state acts in
@@ -148,9 +149,10 @@ let search cfg p root_state ~observe_depth =
         let edge = { action = a; e_visits = 0; e_total = 0.0; children = Hashtbl.create 4 } in
         node.edges <- node.edges @ [ edge ];
         let state', r = p.step node.state a in
+        (* The edge is fresh, so [child] is a new node: its untried list
+           is exactly the rollout's first enumeration. *)
         let child = child_of edge state' in
-        let g = r +. rollout cfg p state' in
-        ignore child;
+        let g = r +. rollout cfg p state' ~first:child.untried in
         backup node edge g;
         g
       | [] ->

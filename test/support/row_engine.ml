@@ -12,7 +12,6 @@ open Monsoon_storage
 open Monsoon_relalg
 open Monsoon_sketch
 open Monsoon_telemetry
-open Monsoon_exec
 
 exception Timeout
 
@@ -36,7 +35,7 @@ type t = {
   catalog : Catalog.t;
   query : Query.t;
   mutable bud : budget;
-  store : (Relset.t, Intermediate.t) Hashtbl.t;
+  store : (Relset.t, Row_layout.t) Hashtbl.t;
   mutable produced : float;
   mutable sigma_total : float;
   fault : Fault.t;
@@ -93,7 +92,7 @@ let compile_term t inter tm =
   let ev =
     Term.compile tm
       ~col_index:(fun ~rel ~col ->
-        Intermediate.col_index t.query t.catalog inter ~rel ~col)
+        Row_layout.col_index t.query t.catalog inter ~rel ~col)
   in
   (* UDF checkpoint: the wrapper exists only when a plan is armed, so the
      disabled path keeps the bare compiled evaluator. *)
@@ -123,7 +122,7 @@ let scan_base t rel =
     (* Row checkpoint: one draw per scanned base row. A poisoned row aborts
        the scan — corrupt data is detected, not silently propagated. *)
     if Fault.armed t.fault then Array.iter (fun _ -> Fault.row t.fault) raw;
-    let inter0 = Intermediate.of_base t.query t.catalog ~rows:raw rel in
+    let inter0 = Row_layout.of_base t.query t.catalog ~rows:raw rel in
     let filters =
       List.map (compile_filter t inter0) (Query.select_preds_of_rel t.query rel)
     in
@@ -135,7 +134,7 @@ let scan_base t rel =
           Array.of_seq (Seq.filter keep (Array.to_seq raw))
         in
         spend t (float_of_int (Array.length rows));
-        Intermediate.of_base t.query t.catalog ~rows rel
+        Row_layout.of_base t.query t.catalog ~rows rel
       end
     in
     Hashtbl.replace t.store mask inter;
@@ -148,31 +147,31 @@ let orient_pred t lm pid =
     if Relset.subset (Term.rels left) lm then (left, right) else (right, left)
   | Predicate.Select _ -> assert false
 
-let hash_join t (la : Intermediate.t) (rb : Intermediate.t) =
+let hash_join t (la : Row_layout.t) (rb : Row_layout.t) =
   let q = t.query in
-  let conn = Query.connecting q la.Intermediate.mask rb.Intermediate.mask in
-  let newly = Query.newly_evaluable q ~left:la.Intermediate.mask ~right:rb.Intermediate.mask in
+  let conn = Query.connecting q la.Row_layout.mask rb.Row_layout.mask in
+  let newly = Query.newly_evaluable q ~left:la.Row_layout.mask ~right:rb.Row_layout.mask in
   let filter_pids = List.filter (fun p -> not (List.mem p conn)) newly in
-  let mask, offsets, width = Intermediate.combined_layout la rb in
+  let mask, offsets, width = Row_layout.combined_layout la rb in
   let out = ref [] in
   let n_out = ref 0 in
   let emit lrow rrow =
     let row = Array.make width Value.Null in
-    Array.blit lrow 0 row 0 la.Intermediate.width;
-    Array.blit rrow 0 row la.Intermediate.width rb.Intermediate.width;
+    Array.blit lrow 0 row 0 la.Row_layout.width;
+    Array.blit rrow 0 row la.Row_layout.width rb.Row_layout.width;
     row
   in
   (* Filters run on the combined layout; build a template intermediate to
      compile them against. *)
   let combined_proto =
-    { Intermediate.mask; offsets; width; rows = [||] }
+    { Row_layout.mask; offsets; width; rows = [||] }
   in
   let filters = List.map (compile_filter t combined_proto) filter_pids in
   let accept row = List.for_all (fun f -> f row) filters in
   if conn = [] then begin
     (* Cross product (with any straddling filters). *)
     Metric.Counter.add t.m.m_probed
-      (float_of_int (Intermediate.cardinality la));
+      (float_of_int (Row_layout.cardinality la));
     Array.iter
       (fun lrow ->
         Array.iter
@@ -184,18 +183,18 @@ let hash_join t (la : Intermediate.t) (rb : Intermediate.t) =
               incr n_out;
               out := row :: !out
             end)
-          rb.Intermediate.rows)
-      la.Intermediate.rows
+          rb.Row_layout.rows)
+      la.Row_layout.rows
   end
   else begin
     (* Hash join on the composite key of all connecting predicates. Build on
        the smaller input. *)
     let build, probe, build_is_left =
-      if Intermediate.cardinality la <= Intermediate.cardinality rb then
+      if Row_layout.cardinality la <= Row_layout.cardinality rb then
         (la, rb, true)
       else (rb, la, false)
     in
-    let build_mask = build.Intermediate.mask in
+    let build_mask = build.Row_layout.mask in
     let keyers_build, keyers_probe =
       List.split
         (List.map
@@ -206,15 +205,15 @@ let hash_join t (la : Intermediate.t) (rb : Intermediate.t) =
     in
     let key_of keyers row = List.map (fun k -> k row) keyers in
     Metric.Counter.add t.m.m_built
-      (float_of_int (Intermediate.cardinality build));
+      (float_of_int (Row_layout.cardinality build));
     Metric.Counter.add t.m.m_probed
-      (float_of_int (Intermediate.cardinality probe));
+      (float_of_int (Row_layout.cardinality probe));
     (* Build checkpoint: one draw per hash-join build. *)
     Fault.build t.fault;
-    let table = Hashtbl.create (Intermediate.cardinality build * 2) in
+    let table = Hashtbl.create (Row_layout.cardinality build * 2) in
     Array.iter
       (fun row -> Hashtbl.add table (key_of keyers_build row) row)
-      build.Intermediate.rows;
+      build.Row_layout.rows;
     Array.iter
       (fun prow ->
         let k = key_of keyers_probe prow in
@@ -230,30 +229,30 @@ let hash_join t (la : Intermediate.t) (rb : Intermediate.t) =
               out := row :: !out
             end)
           (Hashtbl.find_all table k))
-      probe.Intermediate.rows
+      probe.Row_layout.rows
   end;
 
   let rows = Array.of_list (List.rev !out) in
-  { Intermediate.mask; offsets; width; rows }
+  { Row_layout.mask; offsets; width; rows }
 
-let stats_pass t (inter : Intermediate.t) =
+let stats_pass t (inter : Row_layout.t) =
   (* One extra pass over the materialized input computes an HLL distinct
      count for every predicate-relevant term it can evaluate. *)
-  let card = Intermediate.cardinality inter in
+  let card = Row_layout.cardinality inter in
   Ctx.with_span t.tel "exec.sigma"
     ~attrs:[ ("objects", Span.Int card) ]
     (fun _ ->
       spend t (float_of_int card);
       Metric.Counter.add t.m.m_sigma (float_of_int card);
       t.sigma_total <- t.sigma_total +. float_of_int card;
-      let terms = Query.interesting_terms t.query inter.Intermediate.mask in
+      let terms = Query.interesting_terms t.query inter.Row_layout.mask in
       List.map
         (fun tm ->
           let ev = compile_term t inter tm in
           let hll = Hyperloglog.create ~p:14 () in
           Array.iter
             (fun row -> Hyperloglog.add_hash hll (Value.hash (ev row)))
-            inter.Intermediate.rows;
+            inter.Row_layout.rows;
           (tm.Term.id, Float.max 1.0 (Float.round (Hyperloglog.count hll))))
         terms)
 
@@ -267,19 +266,19 @@ let execute t expr =
   let full = Query.all_mask t.query in
   let record e mask inter =
     Hashtbl.replace t.store mask inter;
-    let c = float_of_int (Intermediate.cardinality inter) in
+    let c = float_of_int (Row_layout.cardinality inter) in
     obs_counts := (mask, c) :: !obs_counts;
     obs_nodes := (e, c) :: !obs_nodes
   in
-  let rec go ~is_root e : Intermediate.t =
+  let rec go ~is_root e : Row_layout.t =
     (* Batch boundary: one cooperative deadline check per plan node. *)
     Deadline.check t.deadline;
     match e with
     | Expr.Stats inner ->
       let inter = go ~is_root inner in
       let ds = stats_pass t inter in
-      cost := !cost +. float_of_int (Intermediate.cardinality inter);
-      stats_cost := !stats_cost +. float_of_int (Intermediate.cardinality inter);
+      cost := !cost +. float_of_int (Row_layout.cardinality inter);
+      stats_cost := !stats_cost +. float_of_int (Row_layout.cardinality inter);
       obs_distincts := ds @ !obs_distincts;
       inter
     | Expr.Leaf m -> (
@@ -289,7 +288,7 @@ let execute t expr =
         match Relset.to_list m with
         | [ i ] ->
           let inter = scan_base t i in
-          let c = float_of_int (Intermediate.cardinality inter) in
+          let c = float_of_int (Row_layout.cardinality inter) in
           obs_counts := (m, c) :: !obs_counts;
           obs_nodes := (e, c) :: !obs_nodes;
           inter
@@ -302,7 +301,7 @@ let execute t expr =
         let ia = go ~is_root:false a in
         let ib = go ~is_root:false b in
         let inter = hash_join t ia ib in
-        let c = float_of_int (Intermediate.cardinality inter) in
+        let c = float_of_int (Row_layout.cardinality inter) in
         (* Final result of the complete query is not charged as cost. *)
         if not (is_root && Relset.equal m full) then cost := !cost +. c;
         record e m inter;
@@ -331,5 +330,5 @@ let execute t expr =
 
 let result_rows t expr =
   match materialized t (Expr.mask expr) with
-  | Some inter -> inter.Intermediate.rows
+  | Some inter -> inter.Row_layout.rows
   | None -> invalid_arg "Executor.result_rows: not materialized"

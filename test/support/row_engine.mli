@@ -30,7 +30,7 @@ type stat_obs = {
 }
 
 val execute : t -> Expr.t -> float * stat_obs
-val materialized : t -> Relset.t -> Monsoon_exec.Intermediate.t option
+val materialized : t -> Relset.t -> Row_layout.t option
 val result_rows : t -> Expr.t -> Table.row array
 val total_produced : t -> float
 val sigma_objects : t -> float

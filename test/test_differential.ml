@@ -268,6 +268,170 @@ let test_deadline_parity () =
         w.Workload.catalog q ~budget:1e7 exprs)
     (step_sequences q)
 
+(* --- Mixed paths ---
+
+   A vectorized join emits base-row ids; every other consumer (the scalar
+   join, a cross product, a multi-key chained join, a row-path Σ pass,
+   [result_rows]) must see exactly the tuples the row engine built. Each
+   cell also runs the new engine profiled: the profile must not perturb
+   the result, every non-Σ node's rows_out must equal the row engine's
+   observation of that node, and the node paths are pinned so the cell
+   provably exercises the mix it names. *)
+
+let row_engine_nodes ?env cat q exprs =
+  let exec = R.create ?env cat q (R.budget 1e7) in
+  List.concat_map
+    (fun e ->
+      match R.execute exec e with
+      | _, obs -> obs.R.obs_nodes
+      | exception (R.Timeout | Fault.Injected _) -> [])
+    exprs
+
+let check_mixed ~label ?(env = fun () -> Env.default) cat q exprs ~paths =
+  let prof = Monsoon_exec.Profile.create () in
+  check_cell ~label
+    ~env_new:(Monsoon_exec.Profile.to_env ~env:(env ()) prof)
+    ~env_old:(env ()) cat q ~budget:1e7 exprs;
+  let nodes = Monsoon_exec.Profile.nodes prof in
+  Alcotest.(check (list string))
+    (label ^ ": paths") paths
+    (List.map (fun n -> n.Monsoon_exec.Profile.n_path) nodes);
+  let fp_node (e, c) = Printf.sprintf "%s=%h" (Expr.key e) c in
+  Alcotest.(check (list string))
+    (label ^ ": profiled rows_out")
+    (List.map fp_node (row_engine_nodes ~env:(env ()) cat q exprs))
+    (List.filter_map
+       (fun (n : Monsoon_exec.Profile.node) ->
+         match n.Monsoon_exec.Profile.n_kind with
+         | Monsoon_exec.Profile.Sigma -> None
+         | _ -> Some (fp_node (n.Monsoon_exec.Profile.n_expr, n.n_rows_out)))
+       nodes)
+
+let udf_workload =
+  lazy
+    (Udf_bench.workload
+       { Udf_bench.seed = 15; imdb_scale = 0.04; tpch_scale = 0.04 })
+
+let imdb_workload = lazy (Imdb.workload { Imdb.seed = 14; scale = 0.05 })
+
+(* uq16: o ⋈ c on identity keys (the fused int join), then ⋈ n through a
+   combiner over both o and c — a non-identity key, so the scalar join
+   reads boxed rows built from the fused join's ids. Σ over o ⋈ c then
+   hashes the combiner per row on the same ids. *)
+let test_fast_feeds_scalar_join () =
+  let w = Lazy.force udf_workload in
+  let q = Workload.find_query w "uq16" in
+  let oc = Expr.join (Expr.base 0) (Expr.base 1) in
+  check_mixed ~label:"uq16 fast ⋈ scalar" w.Workload.catalog q
+    [ Expr.join oc (Expr.base 2); Expr.stats oc ]
+    ~paths:[ "sel_eq_const"; "raw"; "join_ints"; "raw"; "scalar"; "mixed" ]
+
+(* t ⋈ mc (fused), then a cross product with a filtered company_name: the
+   cross product walks the composed ids of one side and a selection
+   vector's ids of the other. *)
+let test_fast_feeds_cross () =
+  let w = Lazy.force imdb_workload in
+  let b = Query.Builder.create ~name:"fast-cross" in
+  let t = Query.Builder.rel b ~table:"title" ~alias:"t" in
+  let mc = Query.Builder.rel b ~table:"movie_companies" ~alias:"mc" in
+  let cn = Query.Builder.rel b ~table:"company_name" ~alias:"cn" in
+  let at rel col = Query.Builder.term b (Udf.identity col) [ (rel, col) ] in
+  Query.Builder.join_pred b (at t "id") (at mc "movie_id");
+  Query.Builder.select_pred b (at t "kind_id") (Value.Int 1);
+  Query.Builder.select_pred b (at cn "country_code") (Value.Int 3);
+  let q = Query.Builder.build b in
+  let tmc = Expr.join (Expr.base 0) (Expr.base 1) in
+  check_mixed ~label:"fast ⋈ cross" w.Workload.catalog q
+    [ Expr.join tmc (Expr.base 2); Expr.stats (Expr.join tmc (Expr.base 2)) ]
+    ~paths:[ "sel_eq_const"; "raw"; "join_ints"; "sel_eq_const"; "cross"; "column" ]
+
+(* t ⋈ mi (fused), then ⋈ mk on two keys at once (t.id and mi.movie_id
+   both equal mk.movie_id): the chained multi-key join over composed ids,
+   with and without an armed fault plan pinning everything, Σ included,
+   to the row path. *)
+let chained_query () =
+  let b = Query.Builder.create ~name:"multi-key" in
+  let t = Query.Builder.rel b ~table:"title" ~alias:"t" in
+  let mi = Query.Builder.rel b ~table:"movie_info" ~alias:"mi" in
+  let mk = Query.Builder.rel b ~table:"movie_keyword" ~alias:"mk" in
+  let at rel col = Query.Builder.term b (Udf.identity col) [ (rel, col) ] in
+  Query.Builder.join_pred b (at t "id") (at mi "movie_id");
+  Query.Builder.join_pred b (at t "id") (at mk "movie_id");
+  Query.Builder.join_pred b (at mi "movie_id") (at mk "movie_id");
+  Query.Builder.select_pred b (at mi "info_type_id") (Value.Int 2);
+  Query.Builder.build b
+
+let chained_steps =
+  let tmi = Expr.join (Expr.base 0) (Expr.base 1) in
+  [ Expr.join tmi (Expr.base 2); Expr.stats tmi;
+    Expr.stats (Expr.join tmi (Expr.base 2)) ]
+
+let test_fast_feeds_multikey () =
+  let w = Lazy.force imdb_workload in
+  check_mixed ~label:"fast ⋈ multi-key" w.Workload.catalog (chained_query ())
+    chained_steps
+    ~paths:[ "raw"; "sel_eq_const"; "join_ints"; "raw"; "chained"; "column";
+             "column" ]
+
+let test_armed_sigma_row_pass () =
+  let w = Lazy.force imdb_workload in
+  List.iter
+    (fun (spec, seed) ->
+      check_mixed
+        ~label:(Printf.sprintf "armed %s" (Fault.spec_to_string spec))
+        ~env:(fun () -> Env.with_fault Env.default (Fault.plan spec (Rng.create seed)))
+        w.Workload.catalog (chained_query ()) chained_steps
+        ~paths:[ "raw"; "scalar"; "scalar"; "raw"; "scalar"; "row"; "row" ])
+    [ (Fault.no_faults, 21); ({ Fault.no_faults with Fault.udf_rate = 1e-7 }, 22) ]
+
+(* [result_rows] of whole 3- and 4-instance IMDB queries, in two
+   connected left-deep orders each (every join of either order has a
+   connecting predicate). *)
+let connected_order q first =
+  let n = Query.n_rels q in
+  let rec grow mask order =
+    if List.length order = n then List.rev order
+    else
+      match
+        List.find_opt
+          (fun r ->
+            (not (Relset.mem r mask))
+            && Query.connecting q mask (Relset.singleton r) <> [])
+          (List.init n Fun.id)
+      with
+      | Some r -> grow (Relset.union mask (Relset.singleton r)) (r :: order)
+      | None -> []
+  in
+  grow (Relset.singleton first) [ first ]
+
+let test_imdb_multiway_rows () =
+  let w = Lazy.force imdb_workload in
+  List.iter
+    (fun n_rels ->
+      let name, q =
+        List.find (fun (_, q) -> Query.n_rels q = n_rels) w.Workload.queries
+      in
+      List.iter
+        (fun first ->
+          match connected_order q first with
+          | [] -> Alcotest.failf "%s: no connected order from %d" name first
+          | r0 :: rest ->
+            let plan =
+              List.fold_left
+                (fun acc r -> Expr.join acc (Expr.base r))
+                (Expr.base r0) rest
+            in
+            let label = Printf.sprintf "%s (%d-way) from %d" name n_rels first in
+            check_cell ~label w.Workload.catalog q ~budget:1e7
+              [ plan; Expr.stats plan ];
+            let exec = E.create w.Workload.catalog q (E.budget 1e7) in
+            ignore (E.execute exec plan);
+            Alcotest.(check bool)
+              (label ^ ": non-empty") true
+              (Array.length (E.result_rows exec plan) > 0))
+        [ 0; n_rels - 1 ])
+    [ 3; 4 ]
+
 let () =
   Alcotest.run "differential"
     [ ( "engine equivalence",
@@ -281,4 +445,15 @@ let () =
       ( "checkpoints",
         [ Alcotest.test_case "budget timeout" `Quick test_budget_timeout_parity;
           Alcotest.test_case "fault plans" `Quick test_fault_parity;
-          Alcotest.test_case "deadlines" `Quick test_deadline_parity ] ) ]
+          Alcotest.test_case "deadlines" `Quick test_deadline_parity ] );
+      ( "mixed paths",
+        [ Alcotest.test_case "fast join feeds scalar join" `Quick
+            test_fast_feeds_scalar_join;
+          Alcotest.test_case "fast join feeds cross product" `Quick
+            test_fast_feeds_cross;
+          Alcotest.test_case "fast join feeds multi-key join" `Quick
+            test_fast_feeds_multikey;
+          Alcotest.test_case "armed-fault row pass" `Quick
+            test_armed_sigma_row_pass;
+          Alcotest.test_case "imdb 3- and 4-way result rows" `Quick
+            test_imdb_multiway_rows ] ) ]

@@ -168,6 +168,79 @@ let test_cross_product_when_unconnected () =
   let c_t = float_of_int (Table.cardinality (Catalog.find cat "T")) in
   Alcotest.(check (float 0.0)) "|S|*|T|" (c_s *. c_t) cost
 
+(* An unfiltered base scan keeps the "all rows" marker, so its columns are
+   the table's own cached ones; a filtered scan and a join gather theirs
+   through row ids, and every gathered column equals the column
+   materialized from the intermediate's boxed rows — same representation
+   (a boxed base column unboxes when the surviving subset allows) and same
+   values. *)
+let test_columns_through_ids () =
+  let schema =
+    Schema.make
+      [ { Schema.name = "k"; ty = Value.TInt };
+        { Schema.name = "s"; ty = Value.TStr };
+        { Schema.name = "n"; ty = Value.TInt } ]
+  in
+  let words = [| "ash"; "birch"; "cedar"; "elm" |] in
+  let mk name n =
+    Table.of_row_array ~name schema
+      (Array.init n (fun i ->
+           [| Value.Int (i mod 13);
+              Value.Str words.(i mod 4);
+              (* Nulls only where s = "elm", which the select drops. *)
+              (if i mod 4 = 3 then Value.Null else Value.Int (i mod 5)) |]))
+  in
+  let cat = Catalog.create () in
+  Catalog.add cat (mk "A" 80);
+  Catalog.add cat (mk "B" 50);
+  let b = Query.Builder.create ~name:"ids" in
+  let a = Query.Builder.rel b ~table:"A" ~alias:"A" in
+  let c = Query.Builder.rel b ~table:"B" ~alias:"B" in
+  let at rel col = Query.Builder.term b (Udf.identity col) [ (rel, col) ] in
+  Query.Builder.join_pred b (at a "k") (at c "k");
+  Query.Builder.select_pred b (at a "s") (Value.Str "birch");
+  let q = Query.Builder.build b in
+  let exec = Executor.create cat q (Executor.budget 1e7) in
+  ignore (Executor.execute exec (full_join q));
+  let inter mask = Option.get (Executor.materialized exec mask) in
+  let b_scan = inter (Relset.singleton 1) in
+  Alcotest.(check bool) "unfiltered scan keeps the all-rows marker" true
+    (b_scan.Intermediate.parts.(0).Intermediate.ids = Intermediate.All);
+  let chunk = Chunk.of_intermediate b_scan in
+  for slot = 0 to 2 do
+    Alcotest.(check bool) "table's cached column reused" true
+      (Chunk.column chunk slot == Table.column_at (Catalog.find cat "B") slot)
+  done;
+  Alcotest.(check bool) "base column n is boxed" true
+    (match Table.column_at (Catalog.find cat "A") 2 with
+    | Column.Boxed _ -> true
+    | _ -> false);
+  List.iter
+    (fun mask ->
+      let inter = inter mask in
+      let rows = Intermediate.rows inter in
+      let chunk = Chunk.of_intermediate inter in
+      let tys = [| Value.TInt; Value.TStr; Value.TInt |] in
+      for slot = 0 to inter.Intermediate.width - 1 do
+        let got = Chunk.column chunk slot in
+        let want =
+          Column.of_values tys.(slot mod 3) (Array.map (fun r -> r.(slot)) rows)
+        in
+        let repr = function
+          | Column.Ints _ -> "ints"
+          | Column.Floats _ -> "floats"
+          | Column.Dict _ -> "dict"
+          | Column.Boxed _ -> "boxed"
+        in
+        Alcotest.(check string) "representation" (repr want) (repr got);
+        Array.iteri
+          (fun i _ ->
+            Alcotest.(check bool) "value" true
+              (Value.equal (Column.get want i) (Column.get got i)))
+          rows
+      done)
+    [ Relset.singleton 0; Query.all_mask q ]
+
 (* Property: hash join result always equals the nested-loop oracle. *)
 let prop_join_equals_oracle =
   QCheck.Test.make ~name:"hash join == nested loop oracle" ~count:30
@@ -212,5 +285,6 @@ let () =
           Alcotest.test_case "observed counts" `Quick test_observed_counts;
           Alcotest.test_case "sigma distincts" `Quick test_sigma_measures_distincts;
           Alcotest.test_case "sigma on intermediate" `Quick test_sigma_on_intermediate;
-          Alcotest.test_case "cross product" `Quick test_cross_product_when_unconnected ] );
+          Alcotest.test_case "cross product" `Quick test_cross_product_when_unconnected;
+          Alcotest.test_case "columns through ids" `Quick test_columns_through_ids ] );
       ("properties", qc [ prop_join_equals_oracle; prop_plan_shape_irrelevant ]) ]
